@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.rules.atoms import AtomNode, JoinAtom, TriggeringAtom
 from repro.rules.decompose import DecomposedRule
-from repro.rules.registry import RuleRegistry, Subscription
+from repro.rules.registry import RuleRegistry
 
 from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.analysis.intervals import predicate_implies
@@ -89,7 +89,7 @@ def check_subsumption(
     source_text = source or decomposed.source.source_text
     candidate_end = decomposed.end
     seen_end_rules: set[int] = set()
-    for subscription in _all_subscriptions(registry):
+    for subscription in registry.all_subscriptions():
         if subscription.end_rule in seen_end_rules:
             continue
         seen_end_rules.add(subscription.end_rule)
@@ -136,11 +136,6 @@ def check_subsumption(
                 source=source_text,
             )
     return report
-
-
-def _all_subscriptions(registry: RuleRegistry) -> list[Subscription]:
-    """Every registered subscription, named rules included."""
-    return registry.subscriptions_for(registry.end_rule_ids())
 
 
 def _label(subscriber: str, rule_text: str) -> str:

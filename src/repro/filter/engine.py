@@ -44,7 +44,11 @@ from repro.filter.counting import (
     PendingCountingMatch,
 )
 from repro.filter.matcher import initialize_triggering_rule, match_triggering_rules
-from repro.filter.results import FilterRunResult, PublishOutcome
+from repro.filter.results import (
+    FilterRunResult,
+    PublishOutcome,
+    group_by_rule,
+)
 from repro.filter.shards import MAX_SHARDS, PendingMatch, ShardPool
 from repro.text.index import CONTAINS_INDEX_MODES
 from repro.storage.engine import Database
@@ -244,8 +248,8 @@ class FilterEngine:
                         "FROM result_objects ro "
                         "WHERE EXISTS (SELECT 1 FROM rule_dependencies rd "
                         "              WHERE rd.source_rule = ro.rule_id) "
-                        "   OR ro.rule_id IN "
-                        "(SELECT end_rule FROM subscriptions)"
+                        "   OR EXISTS (SELECT 1 FROM subscriptions s "
+                        "              WHERE s.end_rule = ro.rule_id)"
                     )
                 result.pairs = self._collect(collect)
         self.runs_executed += 1
@@ -383,10 +387,13 @@ class FilterEngine:
         if mode == "none":
             return set()
         if mode == "end":
+            # One idx_subs_end_rule probe per result row: the cost
+            # follows the run's hits, not the subscription count.
             rows = self._db.query_all(
                 "SELECT DISTINCT ro.rule_id, ro.uri_reference "
-                "FROM result_objects ro WHERE ro.rule_id IN "
-                "(SELECT DISTINCT end_rule FROM subscriptions)"
+                "FROM result_objects ro WHERE EXISTS "
+                "(SELECT 1 FROM subscriptions s "
+                "WHERE s.end_rule = ro.rule_id)"
             )
         else:
             rows = self._db.query_all(
@@ -429,9 +436,10 @@ class FilterEngine:
                     input_atoms=atoms, materialize=True, collect=collect
                 )
         outcome.passes.append(run)
-        if collect != "none":
-            end_ids = self._registry.end_rule_ids()
-            outcome.matched = run.matches_of(end_ids)
+        if collect == "end":
+            outcome.matched = run.by_rule
+        elif collect == "all":
+            outcome.matched = group_by_rule(self._collect("end"))
         return outcome
 
     def result_count(self) -> int:
@@ -456,7 +464,6 @@ class FilterEngine:
         if not old_changed:
             return self.process_insertions(diff.inserted)
 
-        end_ids = self._registry.end_rule_ids()
         outcome = PublishOutcome()
         outcome.deleted = {resource.uri for resource in diff.deleted}
         changed_uris = [str(r.uri) for r in old_changed]
@@ -470,7 +477,9 @@ class FilterEngine:
                 materialize=False,
                 collect="all",
             )
-            candidates = pass1.matches_of(end_ids)
+            # ``result_objects`` still holds pass 1: its end-rule pairs
+            # are the candidates.
+            candidates = group_by_rule(self._collect("end"))
 
             # Every pass-1 derivation depended on the old state of the
             # changed resources; drop it from the materialized results.
@@ -505,7 +514,7 @@ class FilterEngine:
         outcome.passes = [pass1, pass2, pass3]
         final: dict[int, set[URIRef]] = {}
         for run in (pass2, pass3):
-            for rule_id, uris in run.matches_of(end_ids).items():
+            for rule_id, uris in run.by_rule.items():
                 final.setdefault(rule_id, set()).update(uris)
         outcome.matched = final
         for rule_id, uris in candidates.items():

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.rdf.model import URIRef
 
-__all__ = ["FilterRunResult", "PublishOutcome"]
+__all__ = ["FilterRunResult", "PublishOutcome", "group_by_rule"]
+
+
+def group_by_rule(
+    pairs: Iterable[tuple[int, URIRef]],
+) -> dict[int, set[URIRef]]:
+    """``(rule_id, uri)`` pairs grouped per rule."""
+    grouped: dict[int, set[URIRef]] = {}
+    for rule_id, uri in pairs:
+        grouped.setdefault(rule_id, set()).add(uri)
+    return grouped
 
 
 @dataclass
@@ -30,18 +41,7 @@ class FilterRunResult:
 
     @property
     def by_rule(self) -> dict[int, set[URIRef]]:
-        grouped: dict[int, set[URIRef]] = {}
-        for rule_id, uri in self.pairs:
-            grouped.setdefault(rule_id, set()).add(uri)
-        return grouped
-
-    def matches_of(self, rule_ids: set[int]) -> dict[int, set[URIRef]]:
-        """The pairs restricted to the given (end) rules."""
-        result: dict[int, set[URIRef]] = {}
-        for rule_id, uri in self.pairs:
-            if rule_id in rule_ids:
-                result.setdefault(rule_id, set()).add(uri)
-        return result
+        return group_by_rule(self.pairs)
 
     def uris_of(self, rule_ids: set[int]) -> set[URIRef]:
         return {uri for rule_id, uri in self.pairs if rule_id in rule_ids}

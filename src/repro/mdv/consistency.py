@@ -170,16 +170,13 @@ class ResourceListStrategy:
         self.cost.filter_passes += 1
         outcome = PublishOutcome()
         outcome.passes.append(run)
-        outcome.matched = run.matches_of(self.provider.registry.end_rule_ids())
+        outcome.matched = run.by_rule
         outcome.deleted = {r.uri for r in diff.deleted}
 
         # Eviction decisions: re-evaluate the full rule of every
         # subscription attached to a changed cached resource.
         all_subs = {
-            s.sub_id: s
-            for s in self.provider.registry.subscriptions_for(
-                self.provider.registry.end_rule_ids()
-            )
+            s.sub_id: s for s in self.provider.registry.all_subscriptions()
         }
         affected = {URIRef(uri) for uri in changed_uris}
         entries: set[tuple[int, URIRef]] = set()
@@ -239,7 +236,7 @@ class TTLStrategy:
         self.cost.filter_passes += 1
         outcome = PublishOutcome()
         outcome.passes.append(run)
-        outcome.matched = run.matches_of(self.provider.registry.end_rule_ids())
+        outcome.matched = run.by_rule
         outcome.deleted = {r.uri for r in diff.deleted}
         return outcome
 

@@ -644,7 +644,9 @@ class MetadataProvider:
     def unsubscribe(self, subscriber: str, rule_text: str) -> None:
         """Remove every subscription registered under ``rule_text``."""
         removed = False
-        for subscription in self.registry.subscriptions_of(subscriber):
+        for subscription in self.registry.subscriptions_named(
+            subscriber, rule_text
+        ):
             base_text = subscription.rule_text.split("#or")[0]
             if subscription.rule_text == rule_text or base_text == rule_text:
                 self.registry.unsubscribe(subscriber, subscription.rule_text)

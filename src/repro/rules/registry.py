@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import sqlite3
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import RuleAnalysisError, SubscriptionError
 from repro.rules.atoms import AtomNode, JoinAtom, TriggeringAtom
@@ -855,6 +855,14 @@ class RuleRegistry:
     # Lookups used by the filter and the publisher
     # ------------------------------------------------------------------
     def end_rule_ids(self) -> set[int]:
+        """Every rule that is some subscription's end rule.
+
+        Reads the whole ``subscriptions`` table: O(subscriptions), so
+        for tests and diagnostics only, never once per operation.  The
+        filter asks "is this an end rule?" per result row inside SQL
+        instead (an ``idx_subs_end_rule`` probe, see
+        :meth:`~repro.filter.engine.FilterEngine.run`).
+        """
         rows = self._db.query_all("SELECT DISTINCT end_rule FROM subscriptions")
         return {int(row["end_rule"]) for row in rows}
 
@@ -862,11 +870,43 @@ class RuleRegistry:
         if not end_rule_ids:
             return []
         placeholders = ",".join("?" * len(end_rule_ids))
+        return self._subscriptions(
+            f"WHERE end_rule IN ({placeholders})", sorted(end_rule_ids)
+        )
+
+    def subscriptions_of(self, subscriber: str) -> list[Subscription]:
+        return self._subscriptions("WHERE subscriber = ?", (subscriber,))
+
+    def subscriptions_named(
+        self, subscriber: str, rule_text: str
+    ) -> list[Subscription]:
+        """The subscriber's subscriptions stored under ``rule_text``.
+
+        That is the text itself and its ``#or<i>`` conjuncts, found by
+        two probes of the ``UNIQUE(subscriber, rule_text)`` index, not
+        by reading every subscription of the subscriber.  A superset at
+        worst; callers apply their exact predicate to the rows.
+        """
+        return self._subscriptions(
+            "WHERE subscriber = ? AND (rule_text = ? OR "
+            "(rule_text >= ? || '#or' AND rule_text < ? || '#os'))",
+            (subscriber, rule_text, rule_text, rule_text),
+        )
+
+    def all_subscriptions(self) -> list[Subscription]:
+        """Every registered subscription, named rules included.
+
+        O(subscriptions): not for per-operation paths.
+        """
+        return self._subscriptions()
+
+    def _subscriptions(
+        self, where: str = "", parameters: Sequence[Any] = ()
+    ) -> list[Subscription]:
         rows = self._db.query_all(
             f"SELECT sub_id, subscriber, rule_text, end_rule FROM "
-            f"subscriptions WHERE end_rule IN ({placeholders}) "
-            f"ORDER BY sub_id",
-            sorted(end_rule_ids),
+            f"subscriptions {where} ORDER BY sub_id",
+            parameters,
         )
         return [
             Subscription(
@@ -876,18 +916,25 @@ class RuleRegistry:
             for r in rows
         ]
 
-    def subscriptions_of(self, subscriber: str) -> list[Subscription]:
+    def subscribers(self) -> list[str]:
+        """Distinct subscriber names, named-rule holders excluded, sorted.
+
+        A loose index scan: one ``UNIQUE(subscriber, rule_text)`` index
+        seek per distinct subscriber, so the cost follows the number of
+        subscribers, not of subscriptions.
+        """
         rows = self._db.query_all(
-            "SELECT sub_id, subscriber, rule_text, end_rule FROM "
-            "subscriptions WHERE subscriber = ? ORDER BY sub_id",
-            (subscriber,),
+            "WITH RECURSIVE names(name) AS ("
+            " SELECT MIN(subscriber) FROM subscriptions"
+            " UNION ALL"
+            " SELECT (SELECT MIN(s.subscriber) FROM subscriptions s"
+            "         WHERE s.subscriber > names.name)"
+            " FROM names WHERE names.name IS NOT NULL"
+            ") SELECT name FROM names WHERE name IS NOT NULL"
         )
         return [
-            Subscription(
-                int(r["sub_id"]), r["subscriber"], r["rule_text"],
-                int(r["end_rule"]),
-            )
-            for r in rows
+            row["name"] for row in rows
+            if not row["name"].startswith("~named~")
         ]
 
     def atom_count(self) -> int:

@@ -152,6 +152,9 @@ CREATE INDEX IF NOT EXISTS idx_ar_left_right
     ON atomic_rules(left_rule, right_rule);
 CREATE INDEX IF NOT EXISTS idx_ar_right_left
     ON atomic_rules(right_rule, left_rule);
+-- Dead-atom GC after an unsubscribe reads only the atoms at refcount 0.
+CREATE INDEX IF NOT EXISTS idx_ar_dead
+    ON atomic_rules(refcount) WHERE refcount <= 0;
 
 CREATE TABLE IF NOT EXISTS rule_dependencies (
     source_rule INTEGER NOT NULL REFERENCES atomic_rules(rule_id),

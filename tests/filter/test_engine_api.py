@@ -68,6 +68,24 @@ def test_collect_modes(db, registry, engine, schema):
     assert engine.result_count() > 0  # SQL-side count still available
 
 
+@pytest.mark.parametrize("collect", ["end", "all"])
+def test_process_insertions_matches_only_end_rules(
+    db, registry, engine, schema, collect
+):
+    end = register_rule(engine, registry, schema, MEMORY_RULE)
+    outcome = engine.process_insertions(list(make_pair(1)), collect=collect)
+    assert outcome.matched == {end: {URIRef("doc1.rdf#host")}}
+
+
+def test_process_insertions_collect_none_matches_nothing(
+    db, registry, engine, schema
+):
+    register_rule(engine, registry, schema, MEMORY_RULE)
+    outcome = engine.process_insertions(list(make_pair(1)), collect="none")
+    assert outcome.matched == {}
+    assert engine.result_count() > 0
+
+
 def test_runs_executed_counter(db, registry, engine, schema):
     register_rule(engine, registry, schema, MEMORY_RULE)
     before = engine.runs_executed

@@ -7,12 +7,22 @@ the algorithm's complexity class fails the test suite on any machine:
 - OID matching must stay (near-)independent of the rule base size — the
   core Figure 11 property, which an index regression would break;
 - batch registration must amortize: total time for one batch of N must
-  be far below N single-document registrations.
+  be far below N single-document registrations;
+- through the whole provider (filter collect, materialization,
+  notification routing, unsubscribe), the work of one operation must not
+  depend on the subscription count — checked on exact storage counters,
+  not on wall time.
 """
 
+import re
 import time
 
 from repro.bench.harness import FilterBench
+from repro.mdv.provider import MetadataProvider
+from repro.mdv.repository import LocalMetadataRepository
+from repro.obs.metrics import MetricsRegistry
+from repro.rdf.model import Document, URIRef
+from repro.rdf.schema import objectglobe_schema
 from repro.workload.scenarios import WorkloadSpec
 
 
@@ -129,3 +139,133 @@ def test_many_small_documents_equal_one_large_document():
         assert small_seconds < large_seconds * 3
     finally:
         small_bench.close()
+
+
+# ----------------------------------------------------------------------
+# Provider path: per-operation work independent of the subscription count
+# ----------------------------------------------------------------------
+_LMRS = 4
+_COUNTERS = ("storage.rows_read", "storage.statements")
+
+
+def _oid_rule(key: int) -> str:
+    return f"search CycleProvider c register c where c = 'doc{key}.rdf#host'"
+
+
+def _oid_document(key: int, memory: int = 64) -> Document:
+    document = Document(f"doc{key}.rdf")
+    host = document.new_resource("host", "CycleProvider")
+    host.add("serverHost", f"host{key}.uni-passau.de")
+    host.add("serverInformation", URIRef(f"doc{key}.rdf#info"))
+    info = document.new_resource("info", "ServerInformation")
+    info.add("memory", memory)
+    info.add("cpu", 600)
+    return document
+
+
+def _oid_provider(subscriptions: int):
+    """A provider whose LMRs hold ``subscriptions`` OID rules in total."""
+    metrics = MetricsRegistry()
+    provider = MetadataProvider(objectglobe_schema(), metrics=metrics)
+    lmrs = [
+        LocalMetadataRepository(f"lmr{index}", provider)
+        for index in range(_LMRS)
+    ]
+    for lmr in lmrs:
+        provider.connect_subscriber(lmr.name, lmr.apply_batch)
+    for key in range(subscriptions):
+        lmrs[key % _LMRS].subscribe(_oid_rule(key))
+    return provider, lmrs, metrics
+
+
+def _operations(provider, lmrs, subscriptions: int):
+    """One of each provider operation, in a valid order, after a warm-up
+    publish (of key 1) has run the first-publish paths."""
+    provider.register_document(_oid_document(1))
+    return {
+        "publish": lambda: provider.register_document(_oid_document(2)),
+        "update": lambda: provider.register_document(_oid_document(2, 128)),
+        "delete": lambda: provider.delete_document("doc2.rdf"),
+        "unsubscribe": lambda: lmrs[3 % _LMRS].unsubscribe(_oid_rule(3)),
+        "subscribe": lambda: lmrs[0].subscribe(_oid_rule(subscriptions)),
+    }
+
+
+def _operation_work(subscriptions: int) -> dict[str, dict[str, float]]:
+    """Exact storage counters of each provider operation, by name."""
+    provider, lmrs, metrics = _oid_provider(subscriptions)
+    work: dict[str, dict[str, float]] = {}
+    try:
+        for name, operation in _operations(
+            provider, lmrs, subscriptions
+        ).items():
+            before = {key: metrics.counter(key).value for key in _COUNTERS}
+            operation()
+            work[name] = {
+                key: metrics.counter(key).value - before[key]
+                for key in _COUNTERS
+            }
+    finally:
+        provider.close()
+    return work
+
+
+def test_provider_work_independent_of_subscription_count():
+    small = _operation_work(500)
+    large = _operation_work(5_000)
+    assert large == small
+    # The publish of one matching document reads a handful of rows, not
+    # one per subscription (the OID figure's defining property).
+    assert small["publish"]["storage.rows_read"] <= 10
+
+
+def _statements_during(provider: MetadataProvider, operation) -> list[str]:
+    """Every SQL statement (parameters bound) an operation executes."""
+    statements: list[str] = []
+    connection = provider.db.connection
+    connection.set_trace_callback(statements.append)
+    try:
+        operation()
+    finally:
+        connection.set_trace_callback(None)
+    return statements
+
+
+#: What a provider operation may SCAN: the per-run scratch tables (and
+#: their aliases), the subscriber loose-scan CTE, and tables that do not
+#: grow with the rule base.  ``filter_data`` is read by the strong-parent
+#: republish of an update; ``named_rules`` by foreign-key checks and rule
+#: normalization.
+_SCANNABLE = {
+    "filter_input", "fi", "result_objects", "ro", "names", "named_rules",
+    "filter_data",
+}
+
+
+def test_provider_operations_scan_no_rule_base_table():
+    provider, lmrs, __ = _oid_provider(40)
+    try:
+        statements: list[str] = []
+        for operation in _operations(provider, lmrs, 40).values():
+            statements += _statements_during(provider, operation)
+        queries = {
+            sql for sql in statements
+            if sql.startswith(("SELECT", "INSERT", "UPDATE", "DELETE", "WITH"))
+        }
+        for sql in queries:
+            plan = provider.db.explain(sql)
+            scanned = set(re.findall(r"^SCAN (\w+)", plan, re.MULTILINE))
+            assert scanned <= _SCANNABLE, (sql, plan)
+        # The materialize statement and the end-rule collect resolve
+        # "is this an end rule?" by an index probe per result row.
+        end_rule_statements = [
+            sql for sql in queries
+            if "result_objects" in sql and "subscriptions" in sql
+        ]
+        assert {sql.split()[0] for sql in end_rule_statements} == {
+            "INSERT", "SELECT",
+        }
+        for sql in end_rule_statements:
+            assert "idx_subs_end_rule" in provider.db.explain(sql), sql
+    finally:
+        provider.close()
